@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"kivati/internal/compile"
@@ -17,6 +18,9 @@ import (
 // showed ~60% of per-schedule time was vm.New's memory zeroing; a restore
 // touches only the pages the previous run dirtied.
 //
+// Close a session once it is no longer needed: its memory image then goes
+// to the next NewSession instead of being allocated and zeroed again.
+//
 // A Session is not safe for concurrent use — callers that fan out give
 // each worker its own Session. Snapshots, however, are portable between
 // Sessions of the same program and configuration (see vm.Snapshot).
@@ -26,11 +30,14 @@ import (
 // events are unsnapshottable), and the per-run Policy is supplied to
 // RunSchedule rather than via the config.
 type Session struct {
-	cfg  RunConfig
-	bin  *compile.Binary
-	m    *vm.Machine
-	init *vm.Snapshot
+	cfg    RunConfig
+	bin    *compile.Binary
+	m      *vm.Machine
+	init   *vm.Snapshot
+	closed bool
 }
+
+var errSessionClosed = errors.New("core: session closed")
 
 // NewSession builds the execution context and captures the initial
 // snapshot. cfg.Policy must be nil (policies are per-run); cfg.Dispatch
@@ -81,14 +88,24 @@ func NewSession(p *Program, cfg RunConfig) (*Session, error) {
 	}
 	for _, s := range cfg.Starts {
 		if _, err := m.Start(s.Fn, s.Arg); err != nil {
+			m.Release()
 			return nil, err
 		}
 	}
 	init, err := m.Snapshot()
 	if err != nil {
+		m.Release()
 		return nil, err
 	}
 	return &Session{cfg: cfg, bin: bin, m: m, init: init}, nil
+}
+
+// Close returns the session's memory image for reuse by later sessions
+// (see vm.Machine.Release). It is idempotent; after Close, RunSchedule and
+// RunFrom return an error, as does Snapshot on the session's machine.
+func (s *Session) Close() {
+	s.closed = true
+	s.m.Release()
 }
 
 // Machine exposes the session's machine (snapshots, memory hashing,
@@ -127,6 +144,9 @@ func (s *Session) finish(res *vm.Result) (*vm.Result, error) {
 // RunSchedule executes one schedule from the initial state: restore the
 // initial snapshot, reseed, set the quantum, install the policy, run.
 func (s *Session) RunSchedule(policy vm.SchedulePolicy, quantum uint64, seed int64) (*vm.Result, error) {
+	if s.closed {
+		return nil, errSessionClosed
+	}
 	s.m.Restore(s.init)
 	s.m.Reseed(seed)
 	s.m.SetQuantum(quantum)
@@ -138,6 +158,9 @@ func (s *Session) RunSchedule(policy vm.SchedulePolicy, quantum uint64, seed int
 // the branch-point resume that lets the DFS skip re-executing deviation
 // prefixes. Quantum and RNG state are part of the snapshot.
 func (s *Session) RunFrom(snap *vm.Snapshot, policy vm.SchedulePolicy) (*vm.Result, error) {
+	if s.closed {
+		return nil, errSessionClosed
+	}
 	s.m.Restore(snap)
 	s.m.SetPolicy(policy)
 	return s.finish(s.m.Run())

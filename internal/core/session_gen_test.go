@@ -194,3 +194,57 @@ func TestSessionSnapshotPortableAcrossSessions(t *testing.T) {
 			full.Snapshot, full.Ticks, full.MemHash, full.Demotions)
 	}
 }
+
+// TestSessionClose pins the session lifecycle: Close is idempotent, a
+// closed session refuses to run or capture, and a snapshot taken before
+// Close stays valid — resumed in a new session, which reuses the closed
+// session's memory image, it reproduces the recorded final state.
+func TestSessionClose(t *testing.T) {
+	p := corpusgen.One(corpusgen.Options{Count: 8, Seed: 21, Arrays: true}, 1)
+	s := genSession(t, p)
+	const quantum, seed = 19, 3
+
+	rng := rand.New(rand.NewSource(8))
+	rec := vm.NewRecorder(vm.PolicyFunc(func(sp vm.SchedPoint) int {
+		return rng.Intn(len(sp.Runnable))
+	}))
+	full, err := s.RunSchedule(rec, quantum, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chosen := rec.Chosen()
+	if len(chosen) < 2 {
+		t.Fatalf("only %d decisions recorded", len(chosen))
+	}
+	mid := len(chosen) / 2
+	cp := &capturePolicy{t: t, m: s.Machine(), inner: vm.NewReplayer(chosen), at: uint64(mid)}
+	if _, err := s.RunSchedule(cp, quantum, seed); err != nil {
+		t.Fatal(err)
+	}
+	if cp.snap == nil {
+		t.Fatal("capture policy never reached the midpoint decision")
+	}
+
+	s.Close()
+	s.Close()
+	if _, err := s.RunSchedule(vm.NewReplayer(chosen), quantum, seed); err == nil {
+		t.Error("RunSchedule on a closed session succeeded")
+	}
+	if _, err := s.RunFrom(cp.snap, vm.NewReplayer(chosen[mid:])); err == nil {
+		t.Error("RunFrom on a closed session succeeded")
+	}
+	if _, err := s.Machine().Snapshot(); err == nil {
+		t.Error("Snapshot on a closed session's machine succeeded")
+	}
+
+	other := genSession(t, p)
+	defer other.Close()
+	res, err := other.RunFrom(cp.snap, vm.NewReplayer(chosen[mid:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Snapshot, full.Snapshot) || res.Ticks != full.Ticks || res.MemHash != full.MemHash {
+		t.Errorf("resume after Close diverged: snapshot=%v ticks=%d hash=%#x, want %v/%d/%#x",
+			res.Snapshot, res.Ticks, res.MemHash, full.Snapshot, full.Ticks, full.MemHash)
+	}
+}

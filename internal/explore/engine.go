@@ -111,13 +111,16 @@ func (c *campaign) pool(mode Mode) *sessionPool {
 	return p
 }
 
-// close releases every pooled session. Campaign entry points defer it so
-// a finished campaign does not pin worker-count 8 MB machine images.
+// close closes every pooled session, handing its 8 MB machine image back
+// for the next campaign's sessions. Campaign entry points defer it.
 func (c *campaign) close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, p := range c.pools {
 		p.mu.Lock()
+		for _, s := range p.free {
+			s.Close()
+		}
 		p.free = nil
 		p.mu.Unlock()
 	}

@@ -120,6 +120,46 @@ func TestDeterminismAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestRecycledImagesInvisible runs differentials back to back in one
+// process — bug A, bug B, then A again, at two pool sizes and both
+// strategies — so later campaigns run on memory images released by
+// earlier ones. Every report must be byte-identical to the subject's first.
+func TestRecycledImagesInvisible(t *testing.T) {
+	var subjects []*Subject
+	for _, id := range [][2]string{{"NSS", "341323"}, {"Apache", "21287"}} {
+		b, err := bugs.ByID(id[0], id[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		subject, err := BugSubject(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subjects = append(subjects, subject)
+	}
+	for _, strat := range []Strategy{Random, DFS} {
+		first := map[string][]byte{}
+		for _, par := range []int{1, 2} {
+			for _, subject := range []*Subject{subjects[0], subjects[1], subjects[0]} {
+				opts := Options{Strategy: strat, Schedules: 40, Seed: 3, Bound: 2, Parallelism: par}
+				d, err := Differential(subject, opts)
+				if err != nil {
+					t.Fatalf("%s %s parallelism %d: %v", strat, subject.Name, par, err)
+				}
+				enc, err := json.Marshal(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first[subject.Name] == nil {
+					first[subject.Name] = enc
+				} else if !bytes.Equal(enc, first[subject.Name]) {
+					t.Errorf("%s %s parallelism %d: report differs from the first run", strat, subject.Name, par)
+				}
+			}
+		}
+	}
+}
+
 // TestDFSEnumeration checks the structure of the preemption-bounded search:
 // the root schedule is the empty prefix (pure round-robin), every explored
 // prefix respects the deviation bound, no prefix repeats, and the budget is

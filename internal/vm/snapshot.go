@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"kivati/internal/compile"
 	"kivati/internal/hw"
@@ -179,6 +181,9 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	if !m.cfg.Snapshots {
 		return nil, fmt.Errorf("vm: machine not built with Config.Snapshots")
 	}
+	if m.Mem == nil {
+		return nil, fmt.Errorf("vm: machine released")
+	}
 	for i := range m.events {
 		if m.events[i].kind == evFn {
 			return nil, fmt.Errorf("vm: pending closure event at tick %d is not snapshottable", m.events[i].tick)
@@ -257,9 +262,11 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 	// Snapshot, Restore redirects it), which is what makes snapshots
 	// immutable and portable across machines. All-zero pages — most of the
 	// image at the initial capture — share one global page instead of
-	// getting private copies.
+	// getting private copies. A page never captured and never written is
+	// zero (New starts from a zero image with tracking on), so only dirty
+	// pages are scanned.
 	for p := 0; p < numPages; p++ {
-		if m.shadow[p] == nil || m.pageDirty[p] {
+		if m.pageDirty[p] {
 			page := m.Mem[p<<pageShift : (p+1)<<pageShift]
 			if bytes.Equal(page, zeroPage) {
 				m.shadow[p] = zeroPage
@@ -269,6 +276,8 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 				m.shadow[p] = cp
 			}
 			m.pageDirty[p] = false
+		} else if m.shadow[p] == nil {
+			m.shadow[p] = zeroPage
 		}
 		s.pages[p] = m.shadow[p]
 	}
@@ -277,6 +286,56 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 
 // zeroPage is the shared capture of every all-zero page.
 var zeroPage = make([]byte, pageSize)
+
+// Machine images are recycled. Allocating and zeroing a compile.MemSize
+// image dominated the cost of opening a snapshot session, so Release hands
+// a snapshot-capable machine's image back here and New takes it again. An
+// image on the free list is all-zero. The list is a mutex-guarded slice
+// rather than a sync.Pool: a sync.Pool empties itself across garbage
+// collections, and those are frequent in exploration.
+var images struct {
+	sync.Mutex
+	free [][]byte
+}
+
+// takeImage returns an all-zero memory image, recycled when one is free.
+func takeImage() []byte {
+	images.Lock()
+	defer images.Unlock()
+	if n := len(images.free); n > 0 {
+		img := images.free[n-1]
+		images.free = images.free[:n-1]
+		return img
+	}
+	return make([]byte, compile.MemSize)
+}
+
+// Release returns the machine's memory image for reuse by a later New and
+// leaves the machine unusable: Snapshot fails and nothing else may be
+// called on it. On a snapshot-capable machine only the pages that may be
+// non-zero are cleared — pages written since the last capture, and pages
+// whose capture is not the shared zero page. Other machines just drop the
+// image, which has no dirty record to bound the clearing. Releasing twice
+// is a no-op.
+func (m *Machine) Release() {
+	img := m.Mem
+	m.Mem = nil
+	if img == nil || !m.memTrack {
+		return
+	}
+	for p := 0; p < numPages; p++ {
+		if m.pageDirty[p] || (m.shadow[p] != nil && !samePage(m.shadow[p], zeroPage)) {
+			clear(img[p<<pageShift : (p+1)<<pageShift])
+		}
+	}
+	images.Lock()
+	defer images.Unlock()
+	// Two per processor: a differential keeps one session per worker in
+	// each of its two modes.
+	if len(images.free) < 2*runtime.GOMAXPROCS(0) {
+		images.free = append(images.free, img)
+	}
+}
 
 // Restore rewinds the machine to a snapshot. The machine must have been
 // built from the same binary and an equivalent configuration (core count,
@@ -341,7 +400,7 @@ func (m *Machine) Restore(s *Snapshot) {
 		}
 	}
 
-	m.reqArrivals = make(map[int]uint64, len(s.reqArrivals))
+	clear(m.reqArrivals)
 	for id, at := range s.reqArrivals {
 		m.reqArrivals[id] = at
 	}

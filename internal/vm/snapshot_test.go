@@ -1,9 +1,11 @@
 package vm
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
+	"kivati/internal/compile"
 	"kivati/internal/kernel"
 )
 
@@ -193,5 +195,135 @@ func TestSnapshotRequiresConfig(t *testing.T) {
 	}
 	if _, err := m.Snapshot(); err == nil {
 		t.Fatal("Snapshot succeeded without Config.Snapshots")
+	}
+}
+
+// recycleSrc has an initialized global, and its run writes globals (one
+// of them mirrored into the shadow region under shadow writes) and the
+// stacks of two threads.
+const recycleSrc = `
+int base = 40;
+int s;
+int done;
+void worker(int id) {
+    int t;
+    s = id + base;
+    t = s;
+    done = t;
+}
+void main() {
+    spawn(worker, 1);
+    while (done == 0) {
+        yield();
+    }
+    print(done + 1);
+}
+`
+
+// newRecycleMachine builds a snapshot-capable optimization-3 machine (the
+// compiler mirrors first-local writes into the shadow region) with main
+// started.
+func newRecycleMachine(t *testing.T, bin *compile.Binary) *Machine {
+	t.Helper()
+	k := kernel.New(kernel.Config{
+		Mode:           kernel.Prevention,
+		Opt:            kernel.OptOptimized,
+		NumWatchpoints: 4,
+		TimeoutTicks:   10000,
+		ShadowDelta:    compile.ShadowDelta,
+	}, nil, nil, nil)
+	m, err := New(bin, k, Config{Cores: 2, Seed: 1, MaxTicks: 5_000_000, Snapshots: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Start("main", 0); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestReleasedImageIsInvisible pins image recycling: Release leaves the
+// image all-zero after a run that wrote globals, stacks and the shadow
+// region, and a machine built on the released image is indistinguishable
+// from one built on a freshly allocated image — same memory hash, same
+// first-capture pages (including which share zeroPage), same run.
+func TestReleasedImageIsInvisible(t *testing.T) {
+	images.Lock()
+	spare := images.free
+	images.free = nil
+	images.Unlock()
+	t.Cleanup(func() {
+		images.Lock()
+		images.free = spare
+		images.Unlock()
+	})
+
+	bin := buildSrc(t, recycleSrc, compile.Options{Annotate: true, ShadowWrites: true})
+	fresh := newRecycleMachine(t, bin)
+	freshSnap, err := fresh.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	used := newRecycleMachine(t, bin)
+	if _, err := used.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if res := used.Run(); res.Reason != "completed" || len(res.Output) != 1 || res.Output[0] != 42 {
+		t.Fatalf("run: reason %q output %v", res.Reason, res.Output)
+	}
+	sAddr := bin.Globals["s"]
+	if used.Load(sAddr, 8) == 0 || used.Load(sAddr+compile.ShadowDelta, 8) == 0 {
+		t.Fatal("run did not write the global and its shadow slot; the check is vacuous")
+	}
+	if !bytes.ContainsFunc(used.Mem[compile.StackTop(1)-compile.StackSize:compile.StackTop(1)], func(r rune) bool { return r != 0 }) {
+		t.Fatal("run did not write the worker's stack; the check is vacuous")
+	}
+	// Capture the final state, so written pages hold non-zero captures and
+	// clean dirty bits, then dirty one page whose capture is zeroPage: both
+	// ways a page can be non-zero at Release.
+	if _, err := used.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	used.storeRaw(compile.MemSize-8, 8, ^uint64(0))
+	img := used.Mem
+	used.Release()
+	used.Release()
+	if used.Mem != nil {
+		t.Fatal("Release left the machine its image")
+	}
+	if _, err := used.Snapshot(); err == nil {
+		t.Fatal("Snapshot on a released machine succeeded")
+	}
+	for p := 0; p < numPages; p++ {
+		if !bytes.Equal(img[p<<pageShift:(p+1)<<pageShift], zeroPage) {
+			t.Fatalf("released image page %d is not zero", p)
+		}
+	}
+
+	recycled := newRecycleMachine(t, bin)
+	if &recycled.Mem[0] != &img[0] {
+		t.Fatal("New did not take the released image; recycling not exercised")
+	}
+	if got, want := recycled.MemHash(), fresh.MemHash(); got != want {
+		t.Fatalf("recycled image hash %#x, fresh %#x", got, want)
+	}
+	recycledSnap, err := recycled.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < numPages; p++ {
+		r, f := recycledSnap.pages[p], freshSnap.pages[p]
+		if !bytes.Equal(r, f) || samePage(r, zeroPage) != samePage(f, zeroPage) {
+			t.Fatalf("first-capture page %d differs between recycled and fresh images", p)
+		}
+		if !bytes.Equal(f, fresh.Mem[p<<pageShift:(p+1)<<pageShift]) {
+			t.Fatalf("first-capture page %d differs from the memory it captured", p)
+		}
+	}
+	r1, r2 := fresh.Run(), recycled.Run()
+	if r1.Ticks != r2.Ticks || !reflect.DeepEqual(r1.Output, r2.Output) || fresh.MemHash() != recycled.MemHash() {
+		t.Fatalf("runs differ: fresh ticks %d output %v, recycled ticks %d output %v",
+			r1.Ticks, r1.Output, r2.Ticks, r2.Output)
 	}
 }

@@ -303,9 +303,10 @@ type Machine struct {
 
 	// Copy-on-write snapshot support (snapshot.go). memTrack gates the
 	// dirty-page bookkeeping in storeRaw; shadow[p] is the immutable copy
-	// of page p as of the last Snapshot/Restore (nil = never captured) and
-	// pageDirty[p] records writes since then. rsrc is the draw-counting
-	// RNG source that makes the rng state restorable.
+	// of page p as of the last Snapshot/Restore (nil = never captured, so
+	// still zero unless dirty) and pageDirty[p] records writes since then.
+	// rsrc is the draw-counting RNG source that makes the rng state
+	// restorable.
 	memTrack  bool
 	shadow    [][]byte
 	pageDirty []bool
@@ -319,7 +320,9 @@ type Machine struct {
 }
 
 // New creates a machine running bin under kernel k. The kernel's Machine is
-// attached automatically.
+// attached automatically. A machine built with Config.Snapshots takes its
+// memory image from the pool that Release refills; any other machine
+// allocates a fresh one.
 func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 2
@@ -338,15 +341,23 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 		Bin:         bin,
 		K:           k,
 		Stats:       k.Stats,
-		Mem:         make([]byte, compile.MemSize),
 		cfg:         cfg,
 		reqArrivals: map[int]uint64{},
 	}
 	if cfg.Snapshots {
 		m.rsrc = newCountingSource(cfg.Seed)
 		m.rng = rand.New(m.rsrc)
+		// A snapshot-capable machine runs on a recycled image (see
+		// Release). Dirty tracking starts before the InitMem stores, so
+		// every page that is neither dirty nor captured is known to be
+		// zero and the first Snapshot shares zeroPage without scanning it.
+		m.Mem = takeImage()
+		m.shadow = make([][]byte, numPages)
+		m.pageDirty = make([]bool, numPages)
+		m.memTrack = true
 	} else {
 		m.rng = rand.New(rand.NewSource(cfg.Seed))
+		m.Mem = make([]byte, compile.MemSize)
 	}
 	for addr, v := range bin.InitMem {
 		m.storeRaw(addr, 8, uint64(v))
@@ -404,13 +415,6 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 	}
 	if cfg.Requests != nil && cfg.Requests.Count > 0 {
 		m.scheduleArrival()
-	}
-	if cfg.Snapshots {
-		// Dirty tracking starts after InitMem: pages never captured by a
-		// Snapshot are copied wholesale regardless of their dirty bit.
-		m.shadow = make([][]byte, numPages)
-		m.pageDirty = make([]bool, numPages)
-		m.memTrack = true
 	}
 	return m, nil
 }
