@@ -46,14 +46,16 @@ func (m *Machine) adoptCanon(c *Core) int {
 // fresh register-file scan — the same-pick continuation. The stamp and the
 // fast fields are part of snapshots, so a run resumed from a mid-decision
 // snapshot makes the identical keep/reset choice the continuous run made.
+// Either way the decision's batch verdict is dropped: it is derived state
+// that only a lockstep decision inside the current window may set.
 func (m *Machine) resumeOrResetFast(c *Core) {
 	if c.fastLeft > 0 && c.Cur != nil && c.Cur.ID == c.fastDecTID &&
 		c.WP.Muts() == c.fastDecMuts && !m.segRecording() {
 		m.samePickCont++
+		c.fpBatch = false
 		return
 	}
-	c.fastLeft = 0
-	c.fastMerge = 0
+	c.resetFast()
 }
 
 // relevantWindow returns the count and address window of the armed registers

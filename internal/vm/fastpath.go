@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"fmt"
+
 	"kivati/internal/hw"
 	"kivati/internal/isa"
 )
@@ -41,19 +43,26 @@ import (
 // pcs in ascending order; the walk is in reverse so each entry is O(1).
 // compile.Footprints runs the same reverse walk, so footprint entry pc
 // covers (a superset of) the blockLen[pc] instructions dispatched from pc.
+// The same walk fills execKind and noBail.
 func (m *Machine) buildBlockLen(starts []uint32) {
 	m.blockLen = make([]uint16, len(m.decoded))
 	m.execKind = make([]uint8, len(m.decoded))
+	m.noBail = make([]bool, len(m.decoded))
 	const maxLen = ^uint16(0)
 	for i := len(starts) - 1; i >= 0; i-- {
 		pc := starts[i]
 		in := m.decoded[pc]
-		m.execKind[pc] = execKindOf(in.Op)
+		k := execKindOf(in.Op)
+		m.execKind[pc] = k
+		// Only a division (by zero) or an op the fast path refuses can stop
+		// an unchecked run whose accesses are known to be in bounds.
+		safe := k != ekNone && in.Op != isa.OpDIV && in.Op != isa.OpMOD
 		switch {
 		case in.Op.IsKernelBoundary():
 			// The legacy path must execute it.
 		case in.Op.IsControlFlow():
 			m.blockLen[pc] = 1
+			m.noBail[pc] = safe
 		default:
 			n := uint16(1)
 			if next := pc + uint32(in.Len); int(next) < len(m.blockLen) {
@@ -62,14 +71,16 @@ func (m *Machine) buildBlockLen(starts []uint32) {
 				} else {
 					n = maxLen
 				}
+				safe = safe && (m.blockLen[next] == 0 || m.noBail[next])
 			}
 			m.blockLen[pc] = n
+			m.noBail[pc] = safe
 		}
 	}
 }
 
 // Fast-interpreter dispatch kinds: one dense small integer per instruction
-// form, precomputed at decode time, so execFast dispatches through a jump
+// form, precomputed at decode time, so execRun dispatches through a jump
 // table instead of re-classifying the opcode's ranges on every retirement.
 // ekNone marks everything the fast path must refuse — kernel boundaries,
 // non-starts, and ops only the legacy interpreter (which faults them)
@@ -242,16 +253,50 @@ func (m *Machine) trySuperstep() {
 	if n == 0 {
 		return
 	}
+	if len(active) == 1 {
+		if done := m.runFastSingle(active[0], n); done > 0 {
+			m.chargeFast(active[0], t0, done)
+			m.fastWindows++
+		}
+		return
+	}
+	m.lockstep(active, t0, n)
+}
 
-	var rounds uint64
+// chargeFast bills cnt fast-path instructions retired by core c from clock
+// t0: identical to cnt legacy steps at Instr each.
+func (m *Machine) chargeFast(c *Core, t0, cnt uint64) {
+	c.BusyUntil = t0 + cnt*m.cfg.Costs.Instr
+	m.Stats.Instructions += cnt
+	m.fastInstrs += cnt
+}
+
+// lockstep retires up to n rounds of the multi-core lockstep from clock t0,
+// one instruction per active core per round in core order. Whenever
+// batchRounds proves the next L rounds cannot stop early and touch disjoint
+// memory, it retires them one core at a time instead: the cores share only
+// memory (register files are frozen inside a window), so disjoint runs that
+// cannot bail commute with the round-by-round interleaving.
+func (m *Machine) lockstep(active []*Core, t0, n uint64) {
+	var rounds, batched uint64
 	stopIdx := 0
 	stopped := false
-	if len(active) == 1 {
-		rounds = m.runFastSingle(active[0], n)
-		stopped = rounds < n
-	} else {
-	loop:
-		for k := uint64(0); k < n; k++ {
+loop:
+	for rounds < n {
+		L, h := m.batchRounds(active, n-rounds)
+		if L > 0 {
+			for i, c := range active {
+				if got := m.execRun(c, c.Cur, L, false); got < L {
+					m.unsoundBatch(active, i, t0, rounds, L, got)
+					return
+				}
+				c.fastLeft -= uint16(L)
+			}
+			rounds += L
+			batched += L
+			continue
+		}
+		for end := rounds + h; rounds < end; rounds++ {
 			for i, c := range active {
 				if !m.stepFastBlock(c) {
 					// Core i cannot proceed (kernel boundary, faulting
@@ -262,13 +307,10 @@ func (m *Machine) trySuperstep() {
 					// cores ordered after it. So cores < i keep round k;
 					// cores >= i replay it (and everything later) on the
 					// legacy path.
-					rounds, stopIdx, stopped = k, i, true
+					stopIdx, stopped = i, true
 					break loop
 				}
 			}
-		}
-		if !stopped {
-			rounds = n
 		}
 	}
 
@@ -278,19 +320,105 @@ func (m *Machine) trySuperstep() {
 		if stopped && i < stopIdx {
 			cnt++
 		}
-		if cnt == 0 {
-			continue
+		if cnt > 0 {
+			m.chargeFast(c, t0, cnt)
+			total += cnt
 		}
-		// Bulk cost charge: identical to cnt legacy steps at Instr each.
-		c.BusyUntil = t0 + cnt*instr
-		total += cnt
 	}
-	if total == 0 {
-		return
+	if total > 0 {
+		m.fastWindows++
+		m.lockstepInstrs += total
+		m.batchInstrs += batched * uint64(len(active))
 	}
-	m.Stats.Instructions += total
-	m.fastInstrs += total
+}
+
+// batchRounds decides whether the lockstep's next rounds may retire one core
+// at a time. Every active core must qualify: its block decision is
+// unchecked, the rest of its block cannot bail (noBail), and its evaluated
+// footprint is bounded and inside data memory — the three verdicts the
+// decision folded into fpBatch — and that footprint is disjoint from every
+// other active core's. It returns the batch length L
+// — the fewest instructions left under any core's decision, capped at the
+// left rounds — or, with L = 0, how many rounds to run one at a time before
+// asking again (up to the next block edge of any core).
+//
+// A core at a block edge takes its decision here, before the round-k
+// instructions of the cores ordered ahead of it. That is exact: those cores
+// already qualified, so their round-k instructions provably commit, and a
+// decision reads only the deciding core's own thread registers and
+// register file, which no other core's instruction can touch. The
+// decisions, and every Demotions counter, are the ones the round-by-round
+// interleaving takes. Batching is off while DPOR segments are recorded, since
+// segment footprints are folded in decision order.
+func (m *Machine) batchRounds(active []*Core, left uint64) (L, h uint64) {
+	if m.segRecording() {
+		return 0, left
+	}
+	L = left
+	for i, c := range active {
+		if c.fastLeft == 0 && !m.decideBlock(c, c.Cur, true) {
+			return 0, 1
+		}
+		if !c.fpBatch {
+			return 0, nextEdge(active, left)
+		}
+		for _, o := range active[:i] {
+			if c.fp.overlaps(&o.fp) {
+				return 0, nextEdge(active, left)
+			}
+		}
+		if l := uint64(c.fastLeft); l < L {
+			L = l
+		}
+	}
+	return L, 0
+}
+
+// nextEdge is the number of lockstep rounds, at most left, until some
+// active core reaches a block edge (a core without a decision takes one in
+// the first round).
+func nextEdge(active []*Core, left uint64) uint64 {
+	h := left
+	for _, c := range active {
+		l := uint64(c.fastLeft)
+		if l == 0 {
+			return 1
+		}
+		if l < h {
+			h = l
+		}
+	}
+	return h
+}
+
+// unsoundBatch ends the run when core i of a batch retired only got of its L
+// instructions: batchRounds admitted a run that stopped early, so a block
+// footprint was unsound and the cores ahead of it already ran past the
+// stopping instruction. The committed work is charged, the fault names the
+// stopping pc, and Run returns.
+func (m *Machine) unsoundBatch(active []*Core, i int, t0, rounds, L, got uint64) {
+	t := active[i].Cur
+	m.Faults = append(m.Faults, fmt.Sprintf(
+		"thread %d at pc %#x: batched lockstep retired %d of %d instructions (unsound block footprint)",
+		t.ID, t.PC, got, L))
+	var total uint64
+	for j, c := range active {
+		cnt := rounds
+		switch {
+		case j < i:
+			cnt += L
+		case j == i:
+			cnt += got
+		}
+		if cnt > 0 {
+			m.chargeFast(c, t0, cnt)
+			total += cnt
+		}
+	}
 	m.fastWindows++
+	m.lockstepInstrs += total
+	m.stopped = true
+	m.reason = "fault"
 }
 
 // fastMergeRun is the checked-block merge budget: after a fresh block-edge
@@ -303,6 +431,44 @@ func (m *Machine) trySuperstep() {
 // a block that a fresh decision would have retired unchecked.
 const fastMergeRun = 4
 
+// decideBlock takes core c's block-edge decision for the straight-line run
+// at thread t's pc: how many instructions it covers (fastLeft), whether they
+// retire checked, and the validity stamp. It returns false, changing
+// nothing, when the fast path must not enter pc. A lockstep decision also
+// evaluates the block footprint against the entry SP/FP and caches it with
+// the batch verdict; any other decision clears the verdict.
+func (m *Machine) decideBlock(c *Core, t *Thread, lockstep bool) bool {
+	pc := t.PC
+	if int(pc) >= len(m.blockLen) || m.blockLen[pc] == 0 {
+		return false
+	}
+	c.fastLeft = m.blockLen[pc]
+	c.fastDecTID = t.ID
+	c.fastDecMuts = c.WP.Muts()
+	f := &m.fps[pc]
+	rec := m.segRecording()
+	var fp *blockRanges
+	if lockstep && !rec && !f.Unbounded {
+		c.fp.eval(f, t)
+		fp = &c.fp
+	}
+	if c.fastMerge > 0 {
+		c.fastMerge--
+		c.fastChecked = true
+		m.demotions.CheckedOverlap++
+	} else {
+		c.fastChecked = m.blockChecked(c, t, f, fp)
+		if c.fastChecked {
+			c.fastMerge = fastMergeRun
+		}
+	}
+	c.fpBatch = fp != nil && !c.fastChecked && m.noBail[pc] && fp.inMem(len(m.Mem))
+	if rec {
+		m.segBlockFootprint(t, f)
+	}
+	return true
+}
+
 // stepFastBlock retires one instruction of core c's thread in the
 // multi-core lockstep, re-deciding checked/unchecked execution whenever the
 // core crosses a basic-block edge (fastLeft counts the instructions still
@@ -310,31 +476,11 @@ const fastMergeRun = 4
 // admission unless the decision's stamp proves it still valid).
 func (m *Machine) stepFastBlock(c *Core) bool {
 	t := c.Cur
-	if c.fastLeft == 0 {
-		pc := t.PC
-		if int(pc) >= len(m.blockLen) || m.blockLen[pc] == 0 {
-			return false
-		}
-		c.fastLeft = m.blockLen[pc]
-		c.fastDecTID = t.ID
-		c.fastDecMuts = c.WP.Muts()
-		if c.fastMerge > 0 {
-			c.fastMerge--
-			c.fastChecked = true
-			m.demotions.CheckedOverlap++
-		} else {
-			c.fastChecked = m.blockChecked(c, t, pc)
-			if c.fastChecked {
-				c.fastMerge = fastMergeRun
-			}
-		}
-		if m.segRecording() {
-			m.segBlockFootprint(t, pc)
-		}
+	if c.fastLeft == 0 && !m.decideBlock(c, t, true) {
+		return false
 	}
-	if !m.execFast(c, t, c.fastChecked) {
-		c.fastLeft = 0
-		c.fastMerge = 0
+	if m.execRun(c, t, 1, c.fastChecked) == 0 {
+		c.resetFast()
 		return false
 	}
 	c.fastLeft--
@@ -352,38 +498,16 @@ func (m *Machine) runFastSingle(c *Core, n uint64) uint64 {
 	t := c.Cur
 	var done uint64
 	for done < n {
-		if c.fastLeft == 0 {
-			pc := t.PC
-			if int(pc) >= len(m.blockLen) || m.blockLen[pc] == 0 {
-				return done
-			}
-			c.fastLeft = m.blockLen[pc]
-			c.fastDecTID = t.ID
-			c.fastDecMuts = c.WP.Muts()
-			if c.fastMerge > 0 {
-				c.fastMerge--
-				c.fastChecked = true
-				m.demotions.CheckedOverlap++
-			} else {
-				c.fastChecked = m.blockChecked(c, t, pc)
-				if c.fastChecked {
-					c.fastMerge = fastMergeRun
-				}
-			}
-			if m.segRecording() {
-				m.segBlockFootprint(t, pc)
-			}
+		if c.fastLeft == 0 && !m.decideBlock(c, t, false) {
+			return done
 		}
 		chunk := uint64(c.fastLeft)
 		if chunk > n-done {
 			chunk = n - done
 		}
-		for j := uint64(0); j < chunk; j++ {
-			if !m.execFast(c, t, c.fastChecked) {
-				c.fastLeft = 0
-				c.fastMerge = 0
-				return done + j
-			}
+		if got := m.execRun(c, t, chunk, c.fastChecked); got < chunk {
+			c.resetFast()
+			return done + got
 		}
 		c.fastLeft -= uint16(chunk)
 		done += chunk
@@ -416,9 +540,7 @@ func (m *Machine) superstepSingle(c *Core, t0, bound uint64) {
 		}
 		done := m.runFastSingle(c, n)
 		if done > 0 {
-			c.BusyUntil = t0 + done*instr
-			m.Stats.Instructions += done
-			m.fastInstrs += done
+			m.chargeFast(c, t0, done)
 			m.fastWindows++
 		}
 		if done == n {
@@ -557,16 +679,82 @@ func (m *Machine) superstepSingle(c *Core, t0, bound uint64) {
 	}
 }
 
+// blockRanges is a block footprint evaluated against a thread's live SP/FP:
+// up to three absolute address ranges — the absolute component, then the
+// SP- and FP-relative ones — in r[:n]. inSpace is false when a
+// register-relative interval leaves [0, 2^32) after evaluation (the block's
+// accesses would wrap or fault); that interval is then left out of r.
+type blockRanges struct {
+	r       [3]hw.AddrRange
+	n       int
+	inSpace bool
+}
+
+// eval is the single evaluator of a bounded static footprint f against
+// thread t's live registers, shared by the watchpoint decision, the DPOR
+// segment recorder and the lockstep batch check. It overwrites b in place
+// (the decision hot path evaluates straight into the core's cache).
+func (b *blockRanges) eval(f *isa.Footprint, t *Thread) {
+	b.n = 0
+	b.inSpace = true
+	if f.AbsHi > f.AbsLo {
+		b.r[0] = hw.AddrRange{Lo: f.AbsLo, Hi: f.AbsHi}
+		b.n = 1
+	}
+	b.addReg(t.Regs[isa.RegSP], f.SPLo, f.SPHi)
+	b.addReg(t.Regs[isa.RegFP], f.FPLo, f.FPHi)
+}
+
+func (b *blockRanges) addReg(base, lo, hi int64) {
+	if hi <= lo {
+		return
+	}
+	lo64 := int64(uint32(base)) + lo
+	hi64 := int64(uint32(base)) + hi
+	if lo64 < 0 || hi64 > int64(^uint32(0)) {
+		b.inSpace = false
+		return
+	}
+	b.r[b.n] = hw.AddrRange{Lo: uint32(lo64), Hi: uint32(hi64)}
+	b.n++
+}
+
+// inMem reports whether every access of the block lies inside data memory
+// of the given size.
+func (b *blockRanges) inMem(size int) bool {
+	if !b.inSpace {
+		return false
+	}
+	for _, r := range b.r[:b.n] {
+		if int(r.Hi) > size {
+			return false
+		}
+	}
+	return true
+}
+
+// overlaps reports whether any range of b intersects any range of o.
+func (b *blockRanges) overlaps(o *blockRanges) bool {
+	for _, x := range b.r[:b.n] {
+		for _, y := range o.r[:o.n] {
+			if x.Lo < y.Hi && y.Lo < x.Hi {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // blockChecked decides, at a basic-block edge, whether the straight-line
-// run starting at pc must execute with per-access watchpoint checks on
+// run with footprint f must execute with per-access watchpoint checks on
 // core c. False — the common case — means the block's static footprint is
 // provably disjoint from every armed register that could trap thread t, so
-// execFast may commit every access unchecked (Match would return -1 for
+// execRun may commit every access unchecked (Match would return -1 for
 // all of them). The stack components of the footprint are offsets from the
-// block's entry SP/FP, evaluated here against the thread's live registers;
-// an interval that escapes the 32-bit address space is answered
-// conservatively.
-func (m *Machine) blockChecked(c *Core, t *Thread, pc uint32) bool {
+// block's entry SP/FP, evaluated against the thread's live registers
+// (fp, when the caller already evaluated it); an interval that escapes the
+// 32-bit address space is answered conservatively.
+func (m *Machine) blockChecked(c *Core, t *Thread, f *isa.Footprint, fp *blockRanges) bool {
 	if c.WP.ArmedCount() == 0 {
 		return false
 	}
@@ -579,50 +767,30 @@ func (m *Machine) blockChecked(c *Core, t *Thread, pc uint32) bool {
 	if rel == 0 {
 		return false
 	}
-	f := &m.fps[pc]
 	if f.Unbounded {
 		// An access the analysis could not bound, and at least one armed
 		// register is not exempt: checked.
 		m.demotions.Unbounded++
 		return true
 	}
-	// Assemble the footprint's components — absolute plus the SP/FP
-	// intervals evaluated against the live registers — and test them against
-	// the register file in one scan. A register-relative interval that
-	// leaves [0, 2^32) after evaluation is answered conservatively (the
-	// block's accesses would wrap or fault; the checked path sorts it out
-	// exactly).
-	var ranges [3]hw.AddrRange
-	n := 0
-	if f.AbsHi > f.AbsLo {
-		ranges[n] = hw.AddrRange{Lo: f.AbsLo, Hi: f.AbsHi}
-		n++
+	if fp == nil {
+		var ev blockRanges
+		ev.eval(f, t)
+		fp = &ev
 	}
-	for _, rr := range [2]struct {
-		base   int64
-		lo, hi int64
-	}{
-		{t.Regs[isa.RegSP], f.SPLo, f.SPHi},
-		{t.Regs[isa.RegFP], f.FPLo, f.FPHi},
-	} {
-		if rr.hi <= rr.lo {
-			continue
-		}
-		lo64 := int64(uint32(rr.base)) + rr.lo
-		hi64 := int64(uint32(rr.base)) + rr.hi
-		if lo64 < 0 || hi64 > int64(^uint32(0)) {
-			m.demotions.ArmedOverlap++
-			return true
-		}
-		ranges[n] = hw.AddrRange{Lo: uint32(lo64), Hi: uint32(hi64)}
-		n++
+	// A register-relative interval that leaves [0, 2^32) after evaluation is
+	// answered conservatively (the checked path sorts it out exactly).
+	if !fp.inSpace {
+		m.demotions.ArmedOverlap++
+		return true
 	}
+	ranges := fp.r[:fp.n]
 	// Window prefilter against the cached relevant window: a footprint
 	// disjoint from it cannot hit any non-exempt register, so the common
 	// disjoint case skips the per-register scan entirely.
 	hit := false
-	for i := 0; i < n; i++ {
-		if ranges[i].Lo < rhi && rlo < ranges[i].Hi {
+	for _, r := range ranges {
+		if r.Lo < rhi && rlo < r.Hi {
 			hit = true
 			break
 		}
@@ -630,7 +798,7 @@ func (m *Machine) blockChecked(c *Core, t *Thread, pc uint32) bool {
 	if !hit {
 		return false
 	}
-	if c.WP.MayMatchRanges(t.ID, ranges[:n]) {
+	if c.WP.MayMatchRanges(t.ID, ranges) {
 		m.demotions.ArmedOverlap++
 		return true
 	}
@@ -650,171 +818,150 @@ func (m *Machine) wouldTrap(c *Core, t *Thread, addr uint32, sz uint8, typ hw.Ac
 	return false
 }
 
-// execFast retires exactly one instruction of thread t on core c with no
-// kernel interaction and no access recording. In unchecked mode the caller
+// execRun is the fast tier's one executor: it retires up to n instructions
+// of thread t on core c with no kernel interaction and no access recording,
+// and returns how many it retired. In unchecked mode the caller
 // (blockChecked) has proven no access can hit an armed register; in
 // checked mode every access is pre-checked with wouldTrap before anything
 // commits — multi-access instructions (PUSHM, CALLM) check all their
-// accesses first, so a bail-out never leaves a partial commit. It returns
-// false, leaving all machine state untouched, when the instruction must
-// execute on the legacy path instead: a kernel boundary (SYS, HLT), an
-// undecodable pc, a faulting condition (division by zero, out-of-bounds
-// access), or a checked access that would trap. Stop-before semantics make
-// the fallback exact: the legacy step re-executes the instruction at the
-// identical clock with identical state.
-func (m *Machine) execFast(c *Core, t *Thread, checked bool) bool {
-	pc := t.PC
-	if int(pc) >= len(m.execKind) {
-		return false
-	}
-	k := m.execKind[pc]
-	if k == ekNone {
-		return false
-	}
-	in := &m.decoded[pc]
+// accesses first, so a bail-out never leaves a partial commit. It stops
+// before the first instruction that must execute on the legacy path
+// instead, leaving that instruction's state untouched: a kernel boundary
+// (SYS, HLT), an undecodable pc, a faulting condition (division by zero,
+// out-of-bounds access), or a checked access that would trap. Stop-before
+// semantics make the fallback exact: the legacy step re-executes the
+// instruction at the identical clock with identical state. The pc and the
+// last retired pc live in locals and are written back once.
+func (m *Machine) execRun(c *Core, t *Thread, n uint64, checked bool) uint64 {
+	pc, last := t.PC, t.LastInstr
 	r := &t.Regs
-	nextPC := pc + uint32(in.Len)
+	var done uint64
+run:
+	for ; done < n; done++ {
+		if int(pc) >= len(m.execKind) {
+			break
+		}
+		k := m.execKind[pc]
+		in := &m.decoded[pc]
+		nextPC := pc + uint32(in.Len)
 
-	switch k {
-	case ekNOP:
-	case ekMOVI:
-		r[in.Rd] = in.Imm
-	case ekMOVR:
-		r[in.Rd] = r[in.Ra]
-	case ekALU:
-		v, ok := alu(in.Op, r[in.Ra], r[in.Rb])
-		if !ok {
-			return false // division by zero: fault on the legacy path
-		}
-		r[in.Rd] = v
-	case ekADDI:
-		r[in.Rd] = r[in.Ra] + in.Imm
-	case ekLD:
-		if !m.inBounds(in.Addr, in.Sz) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, in.Addr, in.Sz, hw.Read) {
-			return false
-		}
-		r[in.Rd] = signExtend(m.loadRaw(in.Addr, in.Sz), in.Sz)
-	case ekST:
-		if !m.inBounds(in.Addr, in.Sz) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, in.Addr, in.Sz, hw.Write) {
-			return false
-		}
-		m.storeRaw(in.Addr, in.Sz, uint64(r[in.Ra]))
-	case ekLDR:
-		addr := uint32(r[in.Ra] + in.Imm)
-		if !m.inBounds(addr, in.Sz) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, addr, in.Sz, hw.Read) {
-			return false
-		}
-		r[in.Rd] = signExtend(m.loadRaw(addr, in.Sz), in.Sz)
-	case ekSTR:
-		addr := uint32(r[in.Ra] + in.Imm)
-		if !m.inBounds(addr, in.Sz) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, addr, in.Sz, hw.Write) {
-			return false
-		}
-		m.storeRaw(addr, in.Sz, uint64(r[in.Rb]))
-	case ekPUSH:
-		sp := uint32(r[isa.RegSP]) - 8
-		if !m.inBounds(sp, 8) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, sp, 8, hw.Write) {
-			return false
-		}
-		r[isa.RegSP] = int64(sp)
-		m.storeRaw(sp, 8, uint64(r[in.Ra]))
-	case ekPOP:
-		sp := uint32(r[isa.RegSP])
-		if !m.inBounds(sp, 8) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, sp, 8, hw.Read) {
-			return false
-		}
-		r[in.Rd] = int64(m.loadRaw(sp, 8))
-		r[isa.RegSP] = int64(sp + 8)
-	case ekPUSHM:
-		if !m.inBounds(in.Addr, in.Sz) {
-			return false
-		}
-		sp := uint32(r[isa.RegSP]) - 8
-		if !m.inBounds(sp, 8) {
-			return false
-		}
-		if checked && (m.wouldTrap(c, t, in.Addr, in.Sz, hw.Read) ||
-			m.wouldTrap(c, t, sp, 8, hw.Write)) {
-			return false
-		}
-		v := signExtend(m.loadRaw(in.Addr, in.Sz), in.Sz)
-		r[isa.RegSP] = int64(sp)
-		m.storeRaw(sp, 8, uint64(v))
-	case ekJMP:
-		nextPC = in.Addr
-	case ekJZ:
-		if r[in.Ra] == 0 {
+		switch k {
+		case ekNone:
+			break run
+		case ekNOP:
+		case ekMOVI:
+			r[in.Rd] = in.Imm
+		case ekMOVR:
+			r[in.Rd] = r[in.Ra]
+		case ekALU:
+			v, ok := alu(in.Op, r[in.Ra], r[in.Rb])
+			if !ok {
+				break run // division by zero: fault on the legacy path
+			}
+			r[in.Rd] = v
+		case ekADDI:
+			r[in.Rd] = r[in.Ra] + in.Imm
+		case ekLD:
+			if !m.inBounds(in.Addr, in.Sz) ||
+				checked && m.wouldTrap(c, t, in.Addr, in.Sz, hw.Read) {
+				break run
+			}
+			r[in.Rd] = signExtend(m.loadRaw(in.Addr, in.Sz), in.Sz)
+		case ekST:
+			if !m.inBounds(in.Addr, in.Sz) ||
+				checked && m.wouldTrap(c, t, in.Addr, in.Sz, hw.Write) {
+				break run
+			}
+			m.storeRaw(in.Addr, in.Sz, uint64(r[in.Ra]))
+		case ekLDR:
+			addr := uint32(r[in.Ra] + in.Imm)
+			if !m.inBounds(addr, in.Sz) ||
+				checked && m.wouldTrap(c, t, addr, in.Sz, hw.Read) {
+				break run
+			}
+			r[in.Rd] = signExtend(m.loadRaw(addr, in.Sz), in.Sz)
+		case ekSTR:
+			addr := uint32(r[in.Ra] + in.Imm)
+			if !m.inBounds(addr, in.Sz) ||
+				checked && m.wouldTrap(c, t, addr, in.Sz, hw.Write) {
+				break run
+			}
+			m.storeRaw(addr, in.Sz, uint64(r[in.Rb]))
+		case ekPUSH:
+			sp := uint32(r[isa.RegSP]) - 8
+			if !m.inBounds(sp, 8) ||
+				checked && m.wouldTrap(c, t, sp, 8, hw.Write) {
+				break run
+			}
+			r[isa.RegSP] = int64(sp)
+			m.storeRaw(sp, 8, uint64(r[in.Ra]))
+		case ekPOP:
+			sp := uint32(r[isa.RegSP])
+			if !m.inBounds(sp, 8) ||
+				checked && m.wouldTrap(c, t, sp, 8, hw.Read) {
+				break run
+			}
+			r[in.Rd] = int64(m.loadRaw(sp, 8))
+			r[isa.RegSP] = int64(sp + 8)
+		case ekPUSHM:
+			sp := uint32(r[isa.RegSP]) - 8
+			if !m.inBounds(in.Addr, in.Sz) || !m.inBounds(sp, 8) ||
+				checked && (m.wouldTrap(c, t, in.Addr, in.Sz, hw.Read) ||
+					m.wouldTrap(c, t, sp, 8, hw.Write)) {
+				break run
+			}
+			v := signExtend(m.loadRaw(in.Addr, in.Sz), in.Sz)
+			r[isa.RegSP] = int64(sp)
+			m.storeRaw(sp, 8, uint64(v))
+		case ekJMP:
 			nextPC = in.Addr
-		}
-	case ekJNZ:
-		if r[in.Ra] != 0 {
+		case ekJZ:
+			if r[in.Ra] == 0 {
+				nextPC = in.Addr
+			}
+		case ekJNZ:
+			if r[in.Ra] != 0 {
+				nextPC = in.Addr
+			}
+		case ekCALL:
+			sp := uint32(r[isa.RegSP]) - 8
+			if !m.inBounds(sp, 8) ||
+				checked && m.wouldTrap(c, t, sp, 8, hw.Write) {
+				break run
+			}
+			r[isa.RegSP] = int64(sp)
+			m.storeRaw(sp, 8, uint64(nextPC))
 			nextPC = in.Addr
+			t.Depth++
+		case ekCALLM:
+			sp := uint32(r[isa.RegSP]) - 8
+			if !m.inBounds(in.Addr, 8) || !m.inBounds(sp, 8) ||
+				checked && (m.wouldTrap(c, t, in.Addr, 8, hw.Read) ||
+					m.wouldTrap(c, t, sp, 8, hw.Write)) {
+				break run
+			}
+			target := uint32(m.loadRaw(in.Addr, 8))
+			r[isa.RegSP] = int64(sp)
+			m.storeRaw(sp, 8, uint64(nextPC))
+			nextPC = target
+			t.Depth++
+		case ekRET:
+			sp := uint32(r[isa.RegSP])
+			if !m.inBounds(sp, 8) ||
+				checked && m.wouldTrap(c, t, sp, 8, hw.Read) {
+				break run
+			}
+			nextPC = uint32(m.loadRaw(sp, 8))
+			r[isa.RegSP] = int64(sp + 8)
+			if t.Depth > 0 {
+				t.Depth--
+			}
 		}
-	case ekCALL:
-		sp := uint32(r[isa.RegSP]) - 8
-		if !m.inBounds(sp, 8) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, sp, 8, hw.Write) {
-			return false
-		}
-		r[isa.RegSP] = int64(sp)
-		m.storeRaw(sp, 8, uint64(nextPC))
-		nextPC = in.Addr
-		t.Depth++
-	case ekCALLM:
-		if !m.inBounds(in.Addr, 8) {
-			return false
-		}
-		sp := uint32(r[isa.RegSP]) - 8
-		if !m.inBounds(sp, 8) {
-			return false
-		}
-		if checked && (m.wouldTrap(c, t, in.Addr, 8, hw.Read) ||
-			m.wouldTrap(c, t, sp, 8, hw.Write)) {
-			return false
-		}
-		target := uint32(m.loadRaw(in.Addr, 8))
-		r[isa.RegSP] = int64(sp)
-		m.storeRaw(sp, 8, uint64(nextPC))
-		nextPC = target
-		t.Depth++
-	case ekRET:
-		sp := uint32(r[isa.RegSP])
-		if !m.inBounds(sp, 8) {
-			return false
-		}
-		if checked && m.wouldTrap(c, t, sp, 8, hw.Read) {
-			return false
-		}
-		nextPC = uint32(m.loadRaw(sp, 8))
-		r[isa.RegSP] = int64(sp + 8)
-		if t.Depth > 0 {
-			t.Depth--
-		}
+		last = pc
+		pc = nextPC
 	}
-
-	t.LastInstr = pc
-	t.PC = nextPC
-	return true
+	t.PC, t.LastInstr = pc, last
+	return done
 }
 
 // MemHash returns the FNV-1a hash of data memory, for differential

@@ -183,11 +183,160 @@ void main() {
     }
     print(v / (i - 1000));
 }`},
+		// MOD inside the workers' loop bodies, and one worker that ends on a
+		// zero divisor: blocks that can bail must never retire in a
+		// lockstep batch.
+		{"mod-loop-workers", `
+int lk;
+int done;
+int out;
+void worker(int n) {
+    int i;
+    int acc;
+    i = 1;
+    acc = 0;
+    while (i < n) {
+        acc = acc + (n % i) + (i % 7);
+        i = i + 1;
+    }
+    lock(lk);
+    out = out + acc;
+    done = done + 1;
+    unlock(lk);
+}
+void failing(int n) {
+    int i;
+    int acc;
+    i = 0;
+    acc = 0;
+    while (i <= n) {
+        acc = acc + (i % (n - i));
+        i = i + 1;
+    }
+    out = acc;
+}
+void main() {
+    spawn(worker, 3000);
+    spawn(failing, 2500);
+    while (done < 1) {
+        yield();
+    }
+    print(out);
+}`},
+		// A worker whose block stores past the end of memory while another
+		// spins: the footprint fails the in-memory check, so the store
+		// faults on the legacy path exactly as under step dispatch.
+		{"oob-store-worker", `
+int arr[4];
+int done;
+void spin(int n) {
+    int i;
+    i = 0;
+    while (i < n) {
+        i = i + 1;
+    }
+    done = 1;
+}
+void bad(int n) {
+    int i;
+    i = 0;
+    while (i < n) {
+        i = i + 1;
+    }
+    arr[2000000] = 1;
+}
+void main() {
+    spawn(spin, 3000);
+    spawn(bad, 500);
+    while (done < 1) {
+        yield();
+    }
+    print(done);
+}`},
+		// Workers hammering adjacent (disjoint) globals in the same window:
+		// footprints that touch but do not overlap batch, and the final
+		// image must still match the round-by-round interleaving.
+		{"adjacent-globals", `
+int a;
+int b;
+int lk;
+int done;
+void wa(int n) {
+    int i;
+    i = 0;
+    while (i < n) {
+        a = a + i;
+        i = i + 1;
+    }
+    lock(lk);
+    done = done + 1;
+    unlock(lk);
+}
+void wb(int n) {
+    int i;
+    i = 0;
+    while (i < n) {
+        b = b + 2 * i;
+        i = i + 1;
+    }
+    lock(lk);
+    done = done + 1;
+    unlock(lk);
+}
+void main() {
+    spawn(wa, 4000);
+    spawn(wb, 3000);
+    while (done < 2) {
+        yield();
+    }
+    print(a);
+    print(b);
+}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			assertDispatchEqual(t, tc.name, tc.src, defaultRunOpts())
+			for _, cores := range []int{2, 3, 4} {
+				t.Run(fmt.Sprintf("cores-%d", cores), func(t *testing.T) {
+					o := defaultRunOpts()
+					o.mcfg.Cores = cores
+					assertDispatchEqual(t, tc.name, tc.src, o)
+				})
+			}
 		})
+	}
+}
+
+// An unannotated racy counter: nothing protects the shared global, so any
+// reordering of the cores' accesses against the round-by-round lockstep
+// (a batch admitted over overlapping footprints) changes the lost-update
+// count and the final image.
+func TestDispatchEquivalenceVanillaRace(t *testing.T) {
+	src := `
+int counter;
+int done;
+void worker(int n) {
+    int i;
+    i = 0;
+    while (i < n) {
+        counter = counter + 1;
+        i = i + 1;
+    }
+    done = done + 1;
+}
+void main() {
+    spawn(worker, 4000);
+    spawn(worker, 4000);
+    spawn(worker, 3000);
+    while (done < 3) {
+        yield();
+    }
+    print(counter);
+}`
+	for _, cores := range []int{2, 3, 4} {
+		o := defaultRunOpts()
+		o.compile = compile.Options{}
+		o.mcfg.Cores = cores
+		assertDispatchEqual(t, fmt.Sprintf("cores-%d", cores), src, o)
 	}
 }
 
@@ -220,10 +369,13 @@ void main() {
     }
     print(shared);
 }`
-	for seed := int64(1); seed <= 5; seed++ {
-		o := defaultRunOpts()
-		o.mcfg.Seed = seed
-		assertDispatchEqual(t, fmt.Sprintf("seed-%d", seed), src, o)
+	for _, cores := range []int{2, 3, 4} {
+		for seed := int64(1); seed <= 5; seed++ {
+			o := defaultRunOpts()
+			o.mcfg.Cores = cores
+			o.mcfg.Seed = seed
+			assertDispatchEqual(t, fmt.Sprintf("cores-%d/seed-%d", cores, seed), src, o)
+		}
 	}
 }
 
@@ -238,8 +390,13 @@ void main() {
         i = i + 1;
     }
 }`
-	for _, max := range []uint64{100, 999, 12345} {
+	for _, tc := range []struct {
+		cores int
+		max   uint64
+	}{{2, 100}, {2, 999}, {2, 12345}, {3, 999}, {4, 12345}} {
+		max := tc.max
 		o := defaultRunOpts()
+		o.mcfg.Cores = tc.cores
 		o.mcfg.MaxTicks = max
 		ms, rs := runDispatch(t, src, o, DispatchStep)
 		mf, rf := runDispatch(t, src, o, DispatchAuto)

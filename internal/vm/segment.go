@@ -148,38 +148,28 @@ func (m *Machine) segAccess(addr uint32, sz uint8, typ hw.AccessType) {
 	}
 }
 
-// segBlockFootprint folds a basic block's static footprint into the open
+// segBlockFootprint folds a basic block's static footprint f into the open
 // segment at a fast-path block edge. Footprints do not distinguish reads
 // from writes, so the whole footprint is recorded as writes — conservative
 // for independence. Register-relative components are evaluated against the
-// thread's live SP/FP exactly like blockChecked does.
-func (m *Machine) segBlockFootprint(t *Thread, pc uint32) {
+// thread's live SP/FP by the same evaluator blockChecked uses; one that
+// would wrap or fault is left to the checked/legacy path, and the segment
+// gives up on precision.
+func (m *Machine) segBlockFootprint(t *Thread, f *isa.Footprint) {
 	if m.seg.Global {
 		return
 	}
-	f := &m.fps[pc]
 	if f.Unbounded {
 		m.seg.Global = true
 		return
 	}
-	if f.AbsHi > f.AbsLo {
-		m.segAdd(&m.seg.Writes, f.AbsLo, f.AbsHi)
-	}
-	m.segRegRange(t.Regs[isa.RegSP], f.SPLo, f.SPHi)
-	m.segRegRange(t.Regs[isa.RegFP], f.FPLo, f.FPHi)
-}
-
-func (m *Machine) segRegRange(base int64, lo, hi int64) {
-	if hi <= lo {
-		return
-	}
-	lo64 := int64(uint32(base)) + lo
-	hi64 := int64(uint32(base)) + hi
-	if lo64 < 0 || hi64 > int64(^uint32(0)) {
-		// Would wrap or fault; the checked/legacy path sorts it out, the
-		// segment gives up on precision.
+	var fp blockRanges
+	fp.eval(f, t)
+	if !fp.inSpace {
 		m.seg.Global = true
 		return
 	}
-	m.segAdd(&m.seg.Writes, uint32(lo64), uint32(hi64))
+	for _, r := range fp.r[:fp.n] {
+		m.segAdd(&m.seg.Writes, r.Lo, r.Hi)
+	}
 }

@@ -151,9 +151,11 @@ type Snapshot struct {
 	epochWaiters bool
 	coresBehind  bool
 
-	fastInstrs  uint64
-	fastWindows uint64
-	demotions   Demotions
+	fastInstrs     uint64
+	fastWindows    uint64
+	lockstepInstrs uint64
+	batchInstrs    uint64
+	demotions      Demotions
 
 	decisions    uint64
 	samePickCont uint64
@@ -225,6 +227,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 		kern:     m.K.Snapshot(),
 		log:      m.K.Log.SaveState(),
 	}
+	s.lockstepInstrs, s.batchInstrs = m.lockstepInstrs, m.batchInstrs
 	for i, t := range m.threads {
 		s.threads[i] = *t
 	}
@@ -384,8 +387,10 @@ func (m *Machine) Restore(s *Snapshot) {
 		c.fastDecMuts = cs.fastDecMuts
 		// The relevant-window cache is derived state keyed on a mutation
 		// count; counts from different timelines may collide, so a restore
-		// always invalidates it.
+		// always invalidates it. The batch verdict is derived from the
+		// block decision the same way and is never captured.
 		c.wpCacheTID = -1
+		c.fpBatch = false
 	}
 	m.events = append(m.events[:0], s.events...)
 
@@ -427,6 +432,8 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.coresBehind = s.coresBehind
 	m.fastInstrs = s.fastInstrs
 	m.fastWindows = s.fastWindows
+	m.lockstepInstrs = s.lockstepInstrs
+	m.batchInstrs = s.batchInstrs
 	m.demotions = s.demotions
 	m.decisions = s.decisions
 	m.samePickCont = s.samePickCont

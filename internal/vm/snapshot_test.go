@@ -40,7 +40,15 @@ void main() {
 // given schedule policy and main started, but not yet run.
 func newSnapMachine(t *testing.T, policy SchedulePolicy) *Machine {
 	t.Helper()
-	bin := buildSrc(t, snapSrc, compileOptsAnnotated())
+	// DispatchStep: SetPolicy requires policy-independent fastOK.
+	return newSnapMachineOn(t, snapSrc, 1, DispatchStep, policy)
+}
+
+// newSnapMachineOn is newSnapMachine for any source, core count and
+// dispatch mode.
+func newSnapMachineOn(t *testing.T, src string, cores int, d DispatchMode, policy SchedulePolicy) *Machine {
+	t.Helper()
+	bin := buildSrc(t, src, compileOptsAnnotated())
 	k := kernel.New(kernel.Config{
 		Mode:           kernel.Prevention,
 		Opt:            kernel.OptBase,
@@ -48,11 +56,11 @@ func newSnapMachine(t *testing.T, policy SchedulePolicy) *Machine {
 		TimeoutTicks:   10000,
 	}, nil, nil, nil)
 	m, err := New(bin, k, Config{
-		Cores:     1,
+		Cores:     cores,
 		Seed:      1,
 		MaxTicks:  5_000_000,
 		Snapshots: true,
-		Dispatch:  DispatchStep, // SetPolicy below requires policy-independent fastOK
+		Dispatch:  d,
 		Policy:    policy,
 	})
 	if err != nil {
@@ -132,6 +140,92 @@ func TestSnapshotRerunIdentical(t *testing.T) {
 	}
 	if hash2 := m.MemHash(); hash2 != hash1 {
 		t.Errorf("final memory image differs: first=%#x rerun=%#x", hash1, hash2)
+	}
+}
+
+// TestFastPathSnapshotRerunIdentical is TestSnapshotRerunIdentical on two
+// cores under DispatchFast, with workers whose stack-local loops run in
+// batched lockstep. The batch verdict is derived state that no snapshot carries, so
+// the rerun must match the first run in everything — including how many
+// instructions it batched.
+func TestFastPathSnapshotRerunIdentical(t *testing.T) {
+	src := `
+int total;
+int lk;
+int done;
+void worker(int id) {
+    int i;
+    int s;
+    i = 0;
+    s = 0;
+    while (i < 3000) {
+        s = s + i * id;
+        i = i + 1;
+    }
+    lock(lk);
+    total = total + s;
+    done = done + 1;
+    unlock(lk);
+}
+void main() {
+    spawn(worker, 1);
+    spawn(worker, 2);
+    while (done < 2) {
+        yield();
+    }
+    print(total);
+}
+`
+	var snap *Snapshot
+	var lockstep0, batch0 uint64
+	m := newSnapMachineOn(t, src, 2, DispatchFast, nil)
+	m.SetPolicy(PolicyFunc(func(p SchedPoint) int {
+		if p.Seq == 3 && snap == nil {
+			s, err := m.Snapshot()
+			if err != nil {
+				t.Errorf("mid-run snapshot: %v", err)
+			}
+			snap = s
+			lockstep0, batch0 = m.lockstepInstrs, m.batchInstrs
+		}
+		return headRunnable(p)
+	}))
+	res1 := m.Run()
+	if snap == nil {
+		t.Fatal("run never reached decision 3; capture point not exercised")
+	}
+	hash1 := m.MemHash()
+	lockstep1, batch1 := m.lockstepInstrs, m.batchInstrs
+	t.Logf("capture at lockstep/batch (%d, %d), end (%d, %d)", lockstep0, batch0, lockstep1, batch1)
+	if batch1 == batch0 {
+		t.Fatal("no batched lockstep after the capture point; the rerun check is vacuous")
+	}
+
+	m.Restore(snap)
+	if m.lockstepInstrs != lockstep0 || m.batchInstrs != batch0 {
+		t.Errorf("restored lockstep/batch counters (%d, %d), captured (%d, %d)",
+			m.lockstepInstrs, m.batchInstrs, lockstep0, batch0)
+	}
+	res2 := m.Run()
+	if res1.Reason != res2.Reason || res1.Ticks != res2.Ticks {
+		t.Errorf("(reason, ticks) first=(%q, %d) rerun=(%q, %d)",
+			res1.Reason, res1.Ticks, res2.Reason, res2.Ticks)
+	}
+	if !reflect.DeepEqual(res1.Output, res2.Output) {
+		t.Errorf("output differs: first=%v rerun=%v", res1.Output, res2.Output)
+	}
+	if !reflect.DeepEqual(res1.Stats, res2.Stats) {
+		t.Errorf("kernel stats differ:\n first=%+v\n rerun=%+v", res1.Stats, res2.Stats)
+	}
+	if res1.Demotions != res2.Demotions {
+		t.Errorf("demotions differ: first=%+v rerun=%+v", res1.Demotions, res2.Demotions)
+	}
+	if hash2 := m.MemHash(); hash2 != hash1 {
+		t.Errorf("final memory image differs: first=%#x rerun=%#x", hash1, hash2)
+	}
+	if m.lockstepInstrs != lockstep1 || m.batchInstrs != batch1 {
+		t.Errorf("lockstep/batch instructions first=(%d, %d) rerun=(%d, %d)",
+			lockstep1, batch1, m.lockstepInstrs, m.batchInstrs)
 	}
 }
 

@@ -172,6 +172,24 @@ type Core struct {
 	wpCacheMuts      uint64
 	wpRelCount       int
 	wpRelLo, wpRelHi uint32
+
+	// The current block decision's footprint evaluated against the entry
+	// SP/FP, and whether the decision admits batched lockstep (unchecked,
+	// no op left in the block that can bail, footprint bounded and inside
+	// data memory); see Machine.batchRounds. Derived state like the wpCache
+	// fields: set only at multi-core lockstep block-edge decisions, never
+	// snapshotted, and cleared whenever the decision is reset, kept across
+	// a window boundary, made by runFastSingle, or restored.
+	fp      blockRanges
+	fpBatch bool
+}
+
+// resetFast drops the core's open block decision (and the merge budget and
+// batch verdict that belong to it).
+func (c *Core) resetFast() {
+	c.fastLeft = 0
+	c.fastMerge = 0
+	c.fpBatch = false
 }
 
 // eventKind discriminates pending timer events. All kernel- and
@@ -242,10 +260,15 @@ type Machine struct {
 	blockLen []uint16
 	// execKind[pc] is the fast interpreter's precomputed dispatch kind for
 	// the instruction at pc (ekNone for everything the fast path refuses),
-	// so execFast jumps straight to the handler instead of re-classifying
+	// so execRun jumps straight to the handler instead of re-classifying
 	// opcode ranges per retirement. Built alongside blockLen.
 	execKind []uint8
-	fastOK   bool // config admits the fast path at all (computed once)
+	// noBail[pc] reports that the rest of the block from pc holds no DIV or
+	// MOD and no op the fast path refuses: in unchecked mode, with its
+	// footprint inside data memory, such a run cannot stop early. Built
+	// alongside blockLen.
+	noBail []bool
+	fastOK bool // config admits the fast path at all (computed once)
 
 	// fps[pc] is the static address footprint of the straight-line run the
 	// fast path may retire starting at pc (the blockLen[pc] instructions) —
@@ -260,6 +283,10 @@ type Machine struct {
 	fastInstrs  uint64 // instructions retired by the fast path
 	fastWindows uint64 // fast windows executed
 	demotions   Demotions
+	// lockstepInstrs counts the fast instructions retired in multi-core
+	// lockstep windows, batchInstrs the subset retired by batched rounds.
+	lockstepInstrs uint64
+	batchInstrs    uint64
 
 	// Decision-point cost accounting (also outside kernel.Stats).
 	decisions    uint64 // scheduler decision points (free core, ≥2 runnable)
@@ -267,8 +294,7 @@ type Machine struct {
 	deltaArms    uint64 // register-file adoptions resolved incrementally
 	fullArms     uint64 // adoptions that fell back to the full-table copy
 
-	fastCores  []*Core // scratch: cores active in the current window
-	fastCounts []int   // scratch: per-core instructions executed this window
+	fastCores []*Core // scratch: cores active in the current window
 
 	curCore *Core // core whose thread is currently executing (for EpochChanged)
 
@@ -491,7 +517,7 @@ type Result struct {
 	Output     []int64
 	Latencies  []uint64
 	Faults     []string
-	Reason     string // "completed", "max-ticks", "stopped", "deadlock"
+	Reason     string // "completed", "max-ticks", "stopped", "deadlock", "fault"
 	Ticks      uint64
 	// Snapshot holds the final values of the globals a caller requested
 	// via core.RunConfig.SnapshotVars (nil otherwise).
@@ -566,6 +592,9 @@ func (m *Machine) Run() *Result {
 		// back to the one-instruction-at-a-time loop below.
 		if m.fastOK {
 			m.trySuperstep()
+			if m.stopped {
+				break
+			}
 		}
 
 		stepped := false

@@ -232,7 +232,7 @@ type Report struct {
 	Stats      *Stats
 	Output     []int64  // values passed to print()
 	Latencies  []uint64 // request latencies (server programs)
-	Reason     string   // "completed", "max-ticks", "stopped", "deadlock"
+	Reason     string   // "completed", "max-ticks", "stopped", "deadlock", "fault"
 	Ticks      uint64   // virtual time consumed
 }
 
