@@ -15,26 +15,57 @@ type access struct {
 	typ  hw.AccessType
 }
 
-// inBounds reports whether [addr, addr+sz) lies inside data memory.
-func (m *Machine) inBounds(addr uint32, sz uint8) bool {
-	return int(addr)+int(sz) <= len(m.Mem)
+// accPolicy selects how execRun admits each memory access of the
+// instructions it retires.
+type accPolicy uint8
+
+const (
+	// accUnchecked admits every in-bounds access: the block decision proved
+	// that none can hit an armed register (see blockChecked).
+	accUnchecked accPolicy = iota
+	// accPrechecked also refuses an access that would hit an armed register
+	// (counted as Demotions.WouldTrap), so that step re-executes the
+	// instruction and delivers the trap.
+	accPrechecked
+	// accRecord is step's policy: an out-of-bounds access faults the thread,
+	// a before-access trap aborts the instruction (setting c.trapAborted),
+	// and every admitted access is recorded into the core's access buffer
+	// for finish's trap-after check.
+	accRecord
+)
+
+// admit reports whether the access [addr, addr+sz) may commit under pol;
+// every policy refuses one that leaves data memory. The unchecked case, the
+// fast tier's common one, must stay within the compiler's inlining budget so
+// that it inlines into execRun (check with go build -gcflags=-m).
+func (m *Machine) admit(c *Core, t *Thread, pol accPolicy, addr uint32, sz uint8, typ hw.AccessType) bool {
+	if pol == accUnchecked {
+		return int(addr)+int(sz) <= len(m.Mem)
+	}
+	return m.admitChecked(c, t, pol, addr, sz, typ)
 }
 
-// rec records one memory access of the instruction core c is executing into
-// the core's fixed access buffer (no per-step slice or closure allocation).
-// It bounds-checks the access, faulting the thread on a miss, and on
-// before-access hardware delivers the trap that aborts the instruction
-// (setting c.trapAborted). A false return means the access did not commit;
-// the caller must bail out through accessFailed.
-func (m *Machine) rec(c *Core, t *Thread, addr uint32, sz uint8, typ hw.AccessType) bool {
-	if !m.inBounds(addr, sz) {
-		m.fault(t, "memory access out of bounds: %#x", addr)
+// admitChecked is admit under accPrechecked and accRecord.
+func (m *Machine) admitChecked(c *Core, t *Thread, pol accPolicy, addr uint32, sz uint8, typ hw.AccessType) bool {
+	if int(addr)+int(sz) > len(m.Mem) {
+		if pol == accRecord {
+			m.fault(t, "memory access out of bounds: %#x", addr)
+		}
 		return false
+	}
+	if pol == accPrechecked {
+		if c.WP.Match(t.ID, addr, sz, typ) >= 0 {
+			m.demotions.WouldTrap++
+			return false
+		}
+		return true
 	}
 	if m.K.Cfg.TrapBefore {
 		// Before-access hardware (Table 1: SPARC-class): the trap
 		// fires before the access commits, aborting the instruction
-		// with the PC still on it. No undo is ever needed.
+		// with the PC still on it. No undo is ever needed. t.PC is the
+		// instruction's pc: step runs accRecord with n = 1, and execRun
+		// writes the pc back only after the instruction.
 		if idx := c.WP.Match(t.ID, addr, sz, typ); idx >= 0 {
 			c.trapAborted = true
 			m.adoptCanon(c)
@@ -46,21 +77,6 @@ func (m *Machine) rec(c *Core, t *Thread, addr uint32, sz uint8, typ hw.AccessTy
 	c.accs[c.nacc] = access{addr, sz, typ}
 	c.nacc++
 	return true
-}
-
-// accessFailed is the single exit path for an instruction whose memory
-// access did not commit: either a before-access trap aborted it (charge the
-// trap, keep the PC on the instruction for re-execution) or the bounds
-// check faulted the thread (nothing more to charge). Keeping the
-// post-failure semantics here — instead of duplicated after every rec call
-// site — is what guarantees before-access-trap handling cannot drift
-// between instruction forms.
-func (m *Machine) accessFailed(c *Core, t *Thread, cost uint64) {
-	if c.trapAborted {
-		m.finishAbort(c, t, cost)
-		return
-	}
-	m.curCore = nil
 }
 
 // alu evaluates a two-operand ALU op. ok is false on division by zero, the
@@ -111,7 +127,10 @@ func alu(op isa.Op, a, b int64) (v int64, ok bool) {
 
 // step executes one instruction of the core's current thread, charges its
 // cost, and delivers a watchpoint trap if a committed access matches the
-// core's debug registers (x86 trap-after semantics).
+// core's debug registers (x86 trap-after semantics). Every instruction form
+// runs through execRun with n = 1 under accRecord; step handles only the
+// pcs execRun refuses (HLT, SYS and undecodable bytes) and the bookkeeping
+// around one retirement.
 func (m *Machine) step(c *Core) {
 	// A legacy step advances the thread outside the fast path's view, so any
 	// open block decision no longer describes the instructions at the
@@ -119,165 +138,57 @@ func (m *Machine) step(c *Core) {
 	// file may be unchanged while the PC moved).
 	c.resetFast()
 	t := c.Cur
+	pc := t.PC
+	t.LastInstr = pc
+	if int(pc) >= len(m.execKind) || m.execKind[pc] == ekNone {
+		m.stepBoundary(c, t)
+		return
+	}
+	m.Stats.Instructions++
+	m.curCore = c
+	c.nacc = 0
+	c.trapAborted = false
+	cost := m.cfg.Costs.Instr
+	if m.execRun(c, t, 1, accRecord) == 1 {
+		m.finish(c, t, cost, c.accs[:c.nacc])
+		return
+	}
+	if c.trapAborted {
+		m.finishAbort(c, t, cost)
+		return
+	}
+	if t.State != stDone {
+		// Neither a trap nor an out-of-bounds fault (which already ended
+		// the thread) stopped it: only a division by zero is left.
+		m.fault(t, "division by zero")
+	}
+	m.curCore = nil
+}
+
+// stepBoundary executes the instruction at a pc execRun refuses: HLT, SYS
+// (the two ops execKindOf leaves at ekNone) or bytes that do not decode.
+func (m *Machine) stepBoundary(c *Core, t *Thread) {
 	in, ok := m.DecodeAt(t.PC)
 	if !ok {
-		t.LastInstr = t.PC
 		m.fault(t, "invalid instruction")
 		return
 	}
-	t.LastInstr = t.PC
 	m.Stats.Instructions++
 	m.curCore = c
 	cost := m.cfg.Costs.Instr
-
-	c.nacc = 0
-	c.trapAborted = false
-
-	nextPC := t.PC + uint32(in.Len)
-	r := &t.Regs
-	op := in.Op
-
-	switch {
-	case op == isa.OpNOP:
-	case op == isa.OpHLT:
+	if in.Op == isa.OpHLT {
 		m.exitThread(t)
 		m.curCore = nil
 		c.BusyUntil = m.clock + cost
 		return
-	case op == isa.OpMOVQ || op == isa.OpMOVL:
-		r[in.Rd] = in.Imm
-	case op == isa.OpMOVR:
-		r[in.Rd] = r[in.Ra]
-	case op >= isa.OpADD && op <= isa.OpCGE:
-		v, ok := alu(op, r[in.Ra], r[in.Rb])
-		if !ok {
-			m.fault(t, "division by zero")
-			m.curCore = nil
-			return
-		}
-		r[in.Rd] = v
-	case op == isa.OpADDI:
-		r[in.Rd] = r[in.Ra] + in.Imm
-	case op >= isa.OpLD && op < isa.OpLD+4:
-		if !m.rec(c, t, in.Addr, in.Sz, hw.Read) {
-			m.accessFailed(c, t, cost)
-			return
-		}
-		r[in.Rd] = signExtend(m.loadRaw(in.Addr, in.Sz), in.Sz)
-	case op >= isa.OpST && op < isa.OpST+4:
-		if !m.rec(c, t, in.Addr, in.Sz, hw.Write) {
-			m.accessFailed(c, t, cost)
-			return
-		}
-		m.storeRaw(in.Addr, in.Sz, uint64(r[in.Ra]))
-	case op >= isa.OpLDR && op < isa.OpLDR+4:
-		addr := uint32(r[in.Ra] + in.Imm)
-		if !m.rec(c, t, addr, in.Sz, hw.Read) {
-			m.accessFailed(c, t, cost)
-			return
-		}
-		r[in.Rd] = signExtend(m.loadRaw(addr, in.Sz), in.Sz)
-	case op >= isa.OpSTR && op < isa.OpSTR+4:
-		addr := uint32(r[in.Ra] + in.Imm)
-		if !m.rec(c, t, addr, in.Sz, hw.Write) {
-			m.accessFailed(c, t, cost)
-			return
-		}
-		m.storeRaw(addr, in.Sz, uint64(r[in.Rb]))
-	case op == isa.OpPUSH:
-		sp := uint32(r[isa.RegSP]) - 8
-		if !m.rec(c, t, sp, 8, hw.Write) {
-			m.accessFailed(c, t, cost)
-			return
-		}
-		r[isa.RegSP] = int64(sp)
-		m.storeRaw(sp, 8, uint64(r[in.Ra]))
-	case op == isa.OpPOP:
-		sp := uint32(r[isa.RegSP])
-		if !m.rec(c, t, sp, 8, hw.Read) {
-			m.accessFailed(c, t, cost)
-			return
-		}
-		r[in.Rd] = int64(m.loadRaw(sp, 8))
-		r[isa.RegSP] = int64(sp + 8)
-	case op >= isa.OpPUSHM && op < isa.OpPUSHM+4:
-		// Memory-to-stack move: read the source, write the stack.
-		if !m.rec(c, t, in.Addr, in.Sz, hw.Read) {
-			m.accessFailed(c, t, cost)
-			return
-		}
-		v := signExtend(m.loadRaw(in.Addr, in.Sz), in.Sz)
-		sp := uint32(r[isa.RegSP]) - 8
-		if !m.rec(c, t, sp, 8, hw.Write) {
-			m.accessFailed(c, t, cost)
-			return
-		}
-		r[isa.RegSP] = int64(sp)
-		m.storeRaw(sp, 8, uint64(v))
-	case op == isa.OpJMP:
-		nextPC = in.Addr
-	case op == isa.OpJZ:
-		if r[in.Ra] == 0 {
-			nextPC = in.Addr
-		}
-	case op == isa.OpJNZ:
-		if r[in.Ra] != 0 {
-			nextPC = in.Addr
-		}
-	case op == isa.OpCALL:
-		sp := uint32(r[isa.RegSP]) - 8
-		if !m.rec(c, t, sp, 8, hw.Write) {
-			m.accessFailed(c, t, cost)
-			return
-		}
-		r[isa.RegSP] = int64(sp)
-		m.storeRaw(sp, 8, uint64(nextPC))
-		nextPC = in.Addr
-		t.Depth++
-	case op == isa.OpCALLM:
-		// Indirect call: the target-PC read can hit a watchpoint — the
-		// §3.3 call special case.
-		if !m.rec(c, t, in.Addr, 8, hw.Read) {
-			m.accessFailed(c, t, cost)
-			return
-		}
-		target := uint32(m.loadRaw(in.Addr, 8))
-		sp := uint32(r[isa.RegSP]) - 8
-		if !m.rec(c, t, sp, 8, hw.Write) {
-			m.accessFailed(c, t, cost)
-			return
-		}
-		r[isa.RegSP] = int64(sp)
-		m.storeRaw(sp, 8, uint64(nextPC))
-		nextPC = target
-		t.Depth++
-	case op == isa.OpRET:
-		sp := uint32(r[isa.RegSP])
-		if !m.rec(c, t, sp, 8, hw.Read) {
-			m.accessFailed(c, t, cost)
-			return
-		}
-		nextPC = uint32(m.loadRaw(sp, 8))
-		r[isa.RegSP] = int64(sp + 8)
-		if t.Depth > 0 {
-			t.Depth--
-		}
-	case op == isa.OpSYS:
-		t.PC = nextPC
-		cost += m.syscall(c, t, t.LastInstr, int(in.Imm))
-		m.finish(c, t, cost, nil)
-		return
-	default:
-		m.fault(t, "unimplemented opcode %v", op)
-		m.curCore = nil
-		return
 	}
-
-	t.PC = nextPC
-	m.finish(c, t, cost, c.accs[:c.nacc])
+	t.PC += uint32(in.Len)
+	cost += m.syscall(c, t, t.LastInstr, int(in.Imm))
+	m.finish(c, t, cost, nil)
 }
 
-// abortCost is charged when a before-access trap aborts an instruction.
+// finishAbort charges the instruction and the trap when a before-access
+// trap aborted the instruction.
 func (m *Machine) finishAbort(c *Core, t *Thread, cost uint64) {
 	if m.segRecording() {
 		m.seg.Global = true

@@ -24,15 +24,17 @@ import (
 // dispatcher compares the block's static address footprint (compile-time
 // table, evaluated against the thread's live SP/FP) with the core's armed
 // registers: a provably disjoint block retires unchecked exactly as in the
-// vanilla case, and an overlapping or unbounded block retires in *checked*
-// mode, where each access is pre-checked against the register file before
-// committing — an access that would trap bails out pre-commit and replays
-// on the legacy path, which records it and delivers the trap. Everything
-// observable — event delivery, timer interrupts, scheduling decisions,
-// traps, rng consumption, per-thread instruction ticks — happens at
-// exactly the clock values the legacy loop would have used, so execution
-// is bit-identical (the differential gate in fastpath_test.go holds the
-// interpreter to that).
+// vanilla case, and an overlapping or unbounded block retires pre-checked,
+// where each access is checked against the register file before
+// committing. An access that would trap stops the window before its
+// instruction, and step re-executes that instruction, recording the access
+// and delivering the trap. Both tiers retire every instruction form through
+// the one executor, execRun; they differ only in its access policy and in
+// how much bookkeeping surrounds it. Everything observable — event
+// delivery, timer interrupts, scheduling decisions, traps, rng consumption,
+// per-thread instruction ticks — happens at exactly the clock values the
+// legacy loop would have used, so execution is bit-identical (the
+// differential gate in fastpath_test.go holds the interpreter to that).
 
 // buildBlockLen precomputes, for every instruction start, how many
 // instructions the fast path may retire beginning there without leaving
@@ -79,12 +81,12 @@ func (m *Machine) buildBlockLen(starts []uint32) {
 	}
 }
 
-// Fast-interpreter dispatch kinds: one dense small integer per instruction
-// form, precomputed at decode time, so execRun dispatches through a jump
-// table instead of re-classifying the opcode's ranges on every retirement.
-// ekNone marks everything the fast path must refuse — kernel boundaries,
-// non-starts, and ops only the legacy interpreter (which faults them)
-// handles.
+// Dispatch kinds: one dense small integer per instruction form, precomputed
+// at decode time, so execRun dispatches through a jump table instead of
+// re-classifying the opcode's ranges on every retirement. execKindOf is the
+// only classifier of instruction forms. ekNone marks the pcs execRun
+// refuses: the kernel boundaries (SYS, HLT) and non-starts, which step
+// executes or faults.
 const (
 	ekNone uint8 = iota
 	ekNOP
@@ -286,7 +288,7 @@ loop:
 		L, h := m.batchRounds(active, n-rounds)
 		if L > 0 {
 			for i, c := range active {
-				if got := m.execRun(c, c.Cur, L, false); got < L {
+				if got := m.execRun(c, c.Cur, L, accUnchecked); got < L {
 					m.unsoundBatch(active, i, t0, rounds, L, got)
 					return
 				}
@@ -479,7 +481,7 @@ func (m *Machine) stepFastBlock(c *Core) bool {
 	if c.fastLeft == 0 && !m.decideBlock(c, t, true) {
 		return false
 	}
-	if m.execRun(c, t, 1, c.fastChecked) == 0 {
+	if m.execRun(c, t, 1, c.fastPolicy()) == 0 {
 		c.resetFast()
 		return false
 	}
@@ -505,7 +507,7 @@ func (m *Machine) runFastSingle(c *Core, n uint64) uint64 {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		if got := m.execRun(c, t, chunk, c.fastChecked); got < chunk {
+		if got := m.execRun(c, t, chunk, c.fastPolicy()); got < chunk {
 			c.resetFast()
 			return done + got
 		}
@@ -805,34 +807,19 @@ func (m *Machine) blockChecked(c *Core, t *Thread, f *isa.Footprint, fp *blockRa
 	return false
 }
 
-// wouldTrap is the checked-mode access pre-check: it reports whether the
-// access would hit an armed register, in which case the instruction must
-// bail out pre-commit and replay on the legacy path, which records the
-// access and delivers the trap (before- or after-access, per the hardware
-// model) with identical state at the identical clock.
-func (m *Machine) wouldTrap(c *Core, t *Thread, addr uint32, sz uint8, typ hw.AccessType) bool {
-	if c.WP.Match(t.ID, addr, sz, typ) >= 0 {
-		m.demotions.WouldTrap++
-		return true
-	}
-	return false
-}
-
-// execRun is the fast tier's one executor: it retires up to n instructions
-// of thread t on core c with no kernel interaction and no access recording,
-// and returns how many it retired. In unchecked mode the caller
-// (blockChecked) has proven no access can hit an armed register; in
-// checked mode every access is pre-checked with wouldTrap before anything
-// commits — multi-access instructions (PUSHM, CALLM) check all their
-// accesses first, so a bail-out never leaves a partial commit. It stops
-// before the first instruction that must execute on the legacy path
-// instead, leaving that instruction's state untouched: a kernel boundary
-// (SYS, HLT), an undecodable pc, a faulting condition (division by zero,
-// out-of-bounds access), or a checked access that would trap. Stop-before
-// semantics make the fallback exact: the legacy step re-executes the
-// instruction at the identical clock with identical state. The pc and the
-// last retired pc live in locals and are written back once.
-func (m *Machine) execRun(c *Core, t *Thread, n uint64, checked bool) uint64 {
+// execRun is the one implementation of the instruction forms: it retires up
+// to n instructions of thread t on core c, admitting every memory access
+// under pol (see accPolicy), and returns how many it retired. It stops
+// before the first instruction it must not retire, leaving that
+// instruction's registers, memory, PC and Depth untouched: an ekNone pc
+// (SYS, HLT or undecodable bytes, which step executes), a division by zero,
+// or an access pol refuses. Multi-access instructions (PUSHM, CALLM) admit
+// all their accesses before either commits, so a refusal never leaves a
+// partial commit. Under the fast tier's policies a stop is exact: step
+// re-executes the instruction at the identical clock with identical state.
+// Under accRecord (step, n = 1) a refused access has already faulted the
+// thread or delivered the before-access trap.
+func (m *Machine) execRun(c *Core, t *Thread, n uint64, pol accPolicy) uint64 {
 	pc, last := t.PC, t.LastInstr
 	r := &t.Regs
 	var done uint64
@@ -856,58 +843,52 @@ run:
 		case ekALU:
 			v, ok := alu(in.Op, r[in.Ra], r[in.Rb])
 			if !ok {
-				break run // division by zero: fault on the legacy path
+				break run // division by zero: step faults the thread
 			}
 			r[in.Rd] = v
 		case ekADDI:
 			r[in.Rd] = r[in.Ra] + in.Imm
 		case ekLD:
-			if !m.inBounds(in.Addr, in.Sz) ||
-				checked && m.wouldTrap(c, t, in.Addr, in.Sz, hw.Read) {
+			if !m.admit(c, t, pol, in.Addr, in.Sz, hw.Read) {
 				break run
 			}
 			r[in.Rd] = signExtend(m.loadRaw(in.Addr, in.Sz), in.Sz)
 		case ekST:
-			if !m.inBounds(in.Addr, in.Sz) ||
-				checked && m.wouldTrap(c, t, in.Addr, in.Sz, hw.Write) {
+			if !m.admit(c, t, pol, in.Addr, in.Sz, hw.Write) {
 				break run
 			}
 			m.storeRaw(in.Addr, in.Sz, uint64(r[in.Ra]))
 		case ekLDR:
 			addr := uint32(r[in.Ra] + in.Imm)
-			if !m.inBounds(addr, in.Sz) ||
-				checked && m.wouldTrap(c, t, addr, in.Sz, hw.Read) {
+			if !m.admit(c, t, pol, addr, in.Sz, hw.Read) {
 				break run
 			}
 			r[in.Rd] = signExtend(m.loadRaw(addr, in.Sz), in.Sz)
 		case ekSTR:
 			addr := uint32(r[in.Ra] + in.Imm)
-			if !m.inBounds(addr, in.Sz) ||
-				checked && m.wouldTrap(c, t, addr, in.Sz, hw.Write) {
+			if !m.admit(c, t, pol, addr, in.Sz, hw.Write) {
 				break run
 			}
 			m.storeRaw(addr, in.Sz, uint64(r[in.Rb]))
 		case ekPUSH:
 			sp := uint32(r[isa.RegSP]) - 8
-			if !m.inBounds(sp, 8) ||
-				checked && m.wouldTrap(c, t, sp, 8, hw.Write) {
+			if !m.admit(c, t, pol, sp, 8, hw.Write) {
 				break run
 			}
 			r[isa.RegSP] = int64(sp)
 			m.storeRaw(sp, 8, uint64(r[in.Ra]))
 		case ekPOP:
 			sp := uint32(r[isa.RegSP])
-			if !m.inBounds(sp, 8) ||
-				checked && m.wouldTrap(c, t, sp, 8, hw.Read) {
+			if !m.admit(c, t, pol, sp, 8, hw.Read) {
 				break run
 			}
 			r[in.Rd] = int64(m.loadRaw(sp, 8))
 			r[isa.RegSP] = int64(sp + 8)
 		case ekPUSHM:
+			// Memory-to-stack move: read the source, write the stack.
 			sp := uint32(r[isa.RegSP]) - 8
-			if !m.inBounds(in.Addr, in.Sz) || !m.inBounds(sp, 8) ||
-				checked && (m.wouldTrap(c, t, in.Addr, in.Sz, hw.Read) ||
-					m.wouldTrap(c, t, sp, 8, hw.Write)) {
+			if !m.admit(c, t, pol, in.Addr, in.Sz, hw.Read) ||
+				!m.admit(c, t, pol, sp, 8, hw.Write) {
 				break run
 			}
 			v := signExtend(m.loadRaw(in.Addr, in.Sz), in.Sz)
@@ -925,8 +906,7 @@ run:
 			}
 		case ekCALL:
 			sp := uint32(r[isa.RegSP]) - 8
-			if !m.inBounds(sp, 8) ||
-				checked && m.wouldTrap(c, t, sp, 8, hw.Write) {
+			if !m.admit(c, t, pol, sp, 8, hw.Write) {
 				break run
 			}
 			r[isa.RegSP] = int64(sp)
@@ -934,10 +914,11 @@ run:
 			nextPC = in.Addr
 			t.Depth++
 		case ekCALLM:
+			// Indirect call: the target-PC read can hit a watchpoint — the
+			// §3.3 call special case.
 			sp := uint32(r[isa.RegSP]) - 8
-			if !m.inBounds(in.Addr, 8) || !m.inBounds(sp, 8) ||
-				checked && (m.wouldTrap(c, t, in.Addr, 8, hw.Read) ||
-					m.wouldTrap(c, t, sp, 8, hw.Write)) {
+			if !m.admit(c, t, pol, in.Addr, 8, hw.Read) ||
+				!m.admit(c, t, pol, sp, 8, hw.Write) {
 				break run
 			}
 			target := uint32(m.loadRaw(in.Addr, 8))
@@ -947,8 +928,7 @@ run:
 			t.Depth++
 		case ekRET:
 			sp := uint32(r[isa.RegSP])
-			if !m.inBounds(sp, 8) ||
-				checked && m.wouldTrap(c, t, sp, 8, hw.Read) {
+			if !m.admit(c, t, pol, sp, 8, hw.Read) {
 				break run
 			}
 			nextPC = uint32(m.loadRaw(sp, 8))
@@ -960,6 +940,11 @@ run:
 		last = pc
 		pc = nextPC
 	}
+	// One write-back, which must not undo a move made meanwhile: nothing the
+	// loop calls may change the thread's PC or LastInstr. The only kernel
+	// entry inside it, HandleTrapBefore under accRecord, suspends the thread
+	// but leaves its PC on the aborted instruction, where pc still points;
+	// an out-of-bounds fault ends the thread without touching either.
 	t.PC, t.LastInstr = pc, last
 	return done
 }

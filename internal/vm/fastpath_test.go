@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -340,12 +341,9 @@ void main() {
 	}
 }
 
-// Three-thread contention on two cores under prevention with annotated
-// atomic regions: watchpoints arm and clear continually, so the machine
-// oscillates between fast windows and legacy demotion. Sweep seeds so
-// different interleavings (and timer phases) are all exercised.
-func TestDispatchEquivalenceUnderPrevention(t *testing.T) {
-	src := `
+// preventionContentionSrc: three threads contend on a shared counter under
+// annotated atomic regions, then meet at a lock-protected barrier.
+const preventionContentionSrc = `
 int shared;
 int lk;
 int done;
@@ -369,12 +367,52 @@ void main() {
     }
     print(shared);
 }`
+
+// Three-thread contention on two cores under prevention with annotated
+// atomic regions: watchpoints arm and clear continually, so the machine
+// oscillates between fast windows and legacy demotion. Sweep seeds so
+// different interleavings (and timer phases) are all exercised.
+func TestDispatchEquivalenceUnderPrevention(t *testing.T) {
 	for _, cores := range []int{2, 3, 4} {
 		for seed := int64(1); seed <= 5; seed++ {
 			o := defaultRunOpts()
 			o.mcfg.Cores = cores
 			o.mcfg.Seed = seed
-			assertDispatchEqual(t, fmt.Sprintf("cores-%d/seed-%d", cores, seed), src, o)
+			assertDispatchEqual(t, fmt.Sprintf("cores-%d/seed-%d", cores, seed), preventionContentionSrc, o)
+		}
+	}
+}
+
+// Debug tracing must not change dispatch: every trace line is written
+// outside fast windows, at clocks the fast path keeps identical, so a traced
+// DispatchAuto run keeps its fast windows and prints the trace a traced
+// DispatchStep run prints, byte for byte.
+func TestDispatchEquivalenceDebugTrace(t *testing.T) {
+	for cores := 1; cores <= 4; cores++ {
+		for seed := int64(1); seed <= 8; seed++ {
+			name := fmt.Sprintf("cores-%d/seed-%d", cores, seed)
+			o := defaultRunOpts()
+			o.mcfg.Cores = cores
+			o.mcfg.Seed = seed
+			var step, auto bytes.Buffer
+			o.mcfg.Debug = &step
+			ms, rs := runDispatch(t, preventionContentionSrc, o, DispatchStep)
+			o.mcfg.Debug = &auto
+			ma, ra := runDispatch(t, preventionContentionSrc, o, DispatchAuto)
+			if step.Len() == 0 {
+				t.Fatalf("%s: traced run printed nothing", name)
+			}
+			if !bytes.Equal(step.Bytes(), auto.Bytes()) {
+				t.Errorf("%s: trace differs between DispatchStep (%d bytes) and DispatchAuto (%d bytes)",
+					name, step.Len(), auto.Len())
+			}
+			if ra.FastInstructions == 0 {
+				t.Errorf("%s: traced DispatchAuto retired no fast instructions", name)
+			}
+			if rs.Ticks != ra.Ticks || !reflect.DeepEqual(rs.Stats, ra.Stats) ||
+				!reflect.DeepEqual(rs.Output, ra.Output) || ms.MemHash() != ma.MemHash() {
+				t.Errorf("%s: traced runs diverge: ticks step=%d auto=%d", name, rs.Ticks, ra.Ticks)
+			}
 		}
 	}
 }

@@ -68,8 +68,9 @@ type DispatchMode int
 const (
 	// DispatchAuto (the default) uses the basic-block fast path whenever
 	// it is provably equivalent to step-at-a-time execution and demotes
-	// otherwise: a schedule policy is injected, debug tracing is on, or a
-	// per-access cost is charged. Within Auto the machine still demotes
+	// otherwise: a schedule policy is injected or a per-access cost is
+	// charged. Debug tracing does not demote: every trace line is written
+	// outside fast windows, at clocks the fast path keeps identical. Within Auto the machine still demotes
 	// dynamically whenever kernel activity (events, timers, scheduling) is
 	// due; armed watchpoints do not demote — blocks whose static footprint
 	// is disjoint from the armed registers run unchecked, the rest run
@@ -141,8 +142,8 @@ type Core struct {
 	NextTimer uint64
 
 	// Fixed access-recording buffer for the instruction in flight (no
-	// instruction performs more than two memory accesses). Owned by
-	// Machine.rec / Machine.step; reset at the top of each step.
+	// instruction performs more than two memory accesses). Filled by
+	// execRun's accRecord admission; reset by step before each instruction.
 	accs        [2]access
 	nacc        int
 	trapAborted bool
@@ -182,6 +183,14 @@ type Core struct {
 	// a window boundary, made by runFastSingle, or restored.
 	fp      blockRanges
 	fpBatch bool
+}
+
+// fastPolicy is the access policy of the core's open block decision.
+func (c *Core) fastPolicy() accPolicy {
+	if c.fastChecked {
+		return accPrechecked
+	}
+	return accUnchecked
 }
 
 // resetFast drops the core's open block decision (and the merge budget and
@@ -409,13 +418,13 @@ func New(bin *compile.Binary, k *kernel.Kernel, cfg Config) (*Machine, error) {
 	}
 	// The fast path is admissible at all only when the configuration
 	// cannot observe per-instruction machine activity: no per-access cost
-	// charging, no debug tracing, and no schedule policy — unless
-	// DispatchFast asserts the policy-compatible fast path (see
-	// DispatchMode). Within an admissible run, trySuperstep still demotes
-	// dynamically per window.
+	// charging and no schedule policy — unless DispatchFast asserts the
+	// policy-compatible fast path (see DispatchMode). Debug tracing is
+	// admissible: its lines come from syscalls and Suspend/Resume, which
+	// run outside fast windows. Within an admissible run, trySuperstep
+	// still demotes dynamically per window.
 	m.fastOK = cfg.Dispatch != DispatchStep &&
 		cfg.Costs.AccessCheck == 0 &&
-		cfg.Debug == nil &&
 		(cfg.Dispatch == DispatchFast || cfg.Policy == nil)
 	for i := 0; i < cfg.Cores; i++ {
 		c := &Core{
